@@ -18,6 +18,7 @@ import (
 	"psrahgadmm/internal/dataset"
 	"psrahgadmm/internal/exchange"
 	"psrahgadmm/internal/simnet"
+	"psrahgadmm/internal/solver"
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
 	"psrahgadmm/internal/vec"
@@ -126,6 +127,35 @@ func Perf(seed int64) (*PerfReport, error) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				vec.Axpy(1e-9, x, y)
+			}
+		})
+	}
+
+	// Layer 1b: the solver's Hessian-vector product, Aᵀ·D·A·v + ρ·v, on one
+	// worker's active-column subproblem of the 16-rank news20-like run —
+	// the kernel TRON's CG spends most of a solve in.
+	{
+		train, _, err := dataset.Generate(dataset.News20Like(0.1, seed))
+		if err != nil {
+			return nil, err
+		}
+		shard := train.Shard(16)[0]
+		a, active := shard.X.CompactColumns()
+		y := make([]float64, len(active))
+		z := make([]float64, len(active))
+		obj := solver.NewLogisticProx(a, shard.Labels, 1.0, y, z)
+		r := rand.New(rand.NewSource(seed))
+		x := make([]float64, len(active))
+		v := make([]float64, len(active))
+		for i := range x {
+			x[i], v[i] = 0.01*r.NormFloat64(), r.NormFloat64()
+		}
+		obj.Eval(x, make([]float64, len(active))) // curvature at x
+		hv := make([]float64, len(active))
+		add("solver/hessvec", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				obj.HessVec(v, hv)
 			}
 		})
 	}
@@ -288,6 +318,45 @@ func Perf(seed int64) (*PerfReport, error) {
 			}
 			b.ReportAllocs()
 			if _, err := core.Run(cfg, train, core.RunOptions{}); err != nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			return nil, runErr
+		}
+	}
+
+	// Layer 5b: one warmed psra-hgadmm iteration — the staged tree with
+	// the node-batched launch, BSP, sparse. The first iterations (buffer
+	// growth) run before the allocation counters are reset, so allocs/op
+	// is the steady-state round's.
+	{
+		train, _, err := dataset.Generate(dataset.SynthConfig{
+			Name: "perf", Dim: 200, TrainRows: 160, TestRows: 40, RowNNZ: 10,
+			ZipfS: 1.3, SignalNNZ: 30, NoiseFlip: 0.02, Seed: seed + 4,
+		})
+		if err != nil {
+			return nil, err
+		}
+		const warm = 5
+		var runErr error
+		add("core/tree-iteration", func(b *testing.B) {
+			cfg := core.Config{
+				Algorithm:      core.PSRAHGADMM,
+				Topo:           simnet.Topology{Nodes: 4, WorkersPerNode: 2},
+				Rho:            1.0,
+				Lambda:         0.5,
+				MaxIter:        warm + b.N,
+				GroupThreshold: 2,
+				EvalEvery:      1 << 20,
+			}
+			b.ReportAllocs()
+			opts := core.RunOptions{OnIteration: func(s core.IterStat) {
+				if s.Iter == warm-1 {
+					b.ResetTimer()
+				}
+			}}
+			if _, err := core.Run(cfg, train, opts); err != nil {
 				runErr = err
 			}
 		})

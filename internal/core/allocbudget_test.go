@@ -11,10 +11,10 @@ import (
 	"psrahgadmm/internal/watchdog"
 )
 
-// runMallocs executes one full training run and returns the heap objects
-// it allocated, counted across all goroutines (crew members, compute
-// pool) via runtime.MemStats.Mallocs.
-func runMallocs(t *testing.T, cfg Config, train *dataset.Dataset) int64 {
+// runAllocs executes one full training run and returns the heap objects
+// and bytes it allocated, counted across all goroutines (crew members,
+// compute pool) via runtime.MemStats.
+func runAllocs(t *testing.T, cfg Config, train *dataset.Dataset) (objects, bytes int64) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -27,27 +27,33 @@ func runMallocs(t *testing.T, cfg Config, train *dataset.Dataset) int64 {
 	if len(res.History) != cfg.MaxIter {
 		t.Fatalf("history length %d, want %d", len(res.History), cfg.MaxIter)
 	}
-	return int64(after.Mallocs - before.Mallocs)
+	return int64(after.Mallocs - before.Mallocs), int64(after.TotalAlloc - before.TotalAlloc)
 }
 
-// marginalAllocs measures the per-iteration allocation rate of a config as
-// the slope between two runs differing only in MaxIter, so every one-time
-// cost — fabric, crew, workspaces, first-rounds buffer growth — cancels.
-// The minimum over trials filters runtime background noise (timers,
-// scheduler growth).
-func marginalAllocs(t *testing.T, base Config, train *dataset.Dataset, n1, n2 int) float64 {
+// marginalRates measures the per-iteration allocation rates of a config,
+// in objects and in bytes, as the slope between two runs differing only
+// in MaxIter, so every one-time cost — fabric, crew, workspaces,
+// first-rounds buffer growth — cancels. The minimum over trials filters
+// runtime background noise (timers, scheduler growth).
+func marginalRates(t *testing.T, base Config, train *dataset.Dataset, n1, n2 int) (objects, bytes float64) {
 	t.Helper()
-	best := math.Inf(1)
+	objects, bytes = math.Inf(1), math.Inf(1)
 	for trial := 0; trial < 3; trial++ {
 		c1, c2 := base, base
 		c1.MaxIter, c2.MaxIter = n1, n2
-		m1 := runMallocs(t, c1, train)
-		m2 := runMallocs(t, c2, train)
-		if perIter := float64(m2-m1) / float64(n2-n1); perIter < best {
-			best = perIter
-		}
+		o1, b1 := runAllocs(t, c1, train)
+		o2, b2 := runAllocs(t, c2, train)
+		objects = math.Min(objects, float64(o2-o1)/float64(n2-n1))
+		bytes = math.Min(bytes, float64(b2-b1)/float64(n2-n1))
 	}
-	return best
+	return objects, bytes
+}
+
+// marginalAllocs is marginalRates' object rate.
+func marginalAllocs(t *testing.T, base Config, train *dataset.Dataset, n1, n2 int) float64 {
+	t.Helper()
+	objects, _ := marginalRates(t, base, train, n1, n2)
+	return objects
 }
 
 // TestSteadyStateAllocBudget pins the tentpole guarantee: a warmed
@@ -93,5 +99,33 @@ func TestRobustSteadyStateAllocBudget(t *testing.T) {
 	t.Logf("robust steady-state allocations: %.2f objects/iter (budget %g)", got, budget)
 	if got > budget {
 		t.Fatalf("robust steady-state allocations: %.2f objects/iter exceeds budget %g", got, budget)
+	}
+}
+
+// TestHierarchicalSteadyStateAllocBudget pins the hierarchical rounds'
+// buffer reuse: a warmed psra-hgadmm (tree) iteration on a wide model
+// allocates less than one dense model-width vector. Worker contributions,
+// node partial sums, merge results and the densified z all live in
+// strategy-owned buffers (nodeBatches, roundVecs); what a round still
+// allocates is small bookkeeping plus the sparse z the workers retain.
+func TestHierarchicalSteadyStateAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	train, _, err := dataset.Generate(dataset.SynthConfig{
+		Name: "wide", Dim: 50000, TrainRows: 320, TestRows: 10, RowNNZ: 10,
+		ZipfS: 1.3, SignalNNZ: 30, NoiseFlip: 0.02, Seed: 17,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := baseConfig(PSRAHGADMM, 4, 4)
+	cfg.EvalEvery = 1 << 20 // objective eval is off the steady-state path
+
+	budget := 8 * float64(train.Dim())
+	objects, bytes := marginalRates(t, cfg, train, 10, 40)
+	t.Logf("steady-state allocations: %.0f B/iter in %.1f objects (budget %.0f B, one dense z)", bytes, objects, budget)
+	if bytes > budget {
+		t.Fatalf("steady-state allocations: %.0f B/iter exceeds budget %.0f B", bytes, budget)
 	}
 }

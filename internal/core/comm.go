@@ -455,15 +455,6 @@ func zFromWBlocks(w *sparse.Vector, lambda, rho float64, part shard.Partition, c
 	return out
 }
 
-// sumSparse adds vs in index order (deterministic association).
-func sumSparse(dim int, vs []*sparse.Vector) *sparse.Vector {
-	acc := sparse.NewAccumulator(dim)
-	for _, v := range vs {
-		acc.Add(v)
-	}
-	return acc.Sum()
-}
-
 // starGatherTrace models AD-ADMM's master-side exchange for one round:
 // step 0, each fresh worker ships its primal and dual vectors (2·d dense
 // doubles) to the master; step 1, the master returns the new z (d dense

@@ -16,37 +16,22 @@ import (
 // SSP/async the isolation compounds: stale nodes are simply absent from
 // the round's grouping instead of gating it.
 type groupStrategy struct {
-	env    *strategyEnv
-	clocks []sspClock // per node
-	pend   []*sparse.Vector
-	// Reusable barrier scratch.
+	env     *strategyEnv
+	clocks  []sspClock // per node
+	batches *nodeBatches
+	// Reusable round scratch: barrier bookkeeping, group aggregates and
+	// the densified z the workers copy from.
 	finishes []float64
 	fresh    []int
+	aggs     roundVecs
+	zDense   []float64
 }
 
 func newGroupStrategy(env *strategyEnv, cfg Config) *groupStrategy {
 	return &groupStrategy{
-		env:    env,
-		clocks: make([]sspClock, cfg.Topo.Nodes),
-		pend:   make([]*sparse.Vector, cfg.Topo.Nodes),
-	}
-}
-
-// reconcile absorbs membership changes exactly as treeStrategy.reconcile
-// does (see that method for the staleness contract).
-func (st *groupStrategy) reconcile() {
-	env := st.env
-	for n := range st.clocks {
-		p := st.clocks[n].pending
-		if p == nil || !env.prunePending(p) {
-			continue
-		}
-		if len(p.ranks) == 0 {
-			st.clocks[n] = sspClock{}
-			st.pend[n] = nil
-			continue
-		}
-		st.pend[n] = sumSparse(env.dim, p.vs)
+		env:     env,
+		clocks:  make([]sspClock, cfg.Topo.Nodes),
+		batches: newNodeBatches(env, cfg.Topo.Nodes),
 	}
 }
 
@@ -57,18 +42,10 @@ func (st *groupStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	var timing iterTiming
 
 	if env.reconciles() {
-		st.reconcile()
+		st.batches.reconcile(env, st.clocks)
 	}
-	liveNodes, _ := env.liveNodes(topo)
-
-	for _, n := range liveNodes {
-		if st.clocks[n].pending != nil {
-			continue
-		}
-		c := launchNodeSparse(env, cfg, n, iter)
-		st.pend[n] = c.sum
-		st.clocks[n].pending = c.pending
-	}
+	liveNodes, ranksOf := env.liveNodes(topo)
+	st.batches.launch(env, cfg, iter, liveNodes, ranksOf, st.clocks)
 	chargeLaunchBytes(st.clocks, iter, &timing)
 
 	cutoff := sspCutoff(st.clocks, env.sync.Quorum(len(liveNodes), wpn), env.sync.Delay(), &st.finishes)
@@ -88,7 +65,7 @@ func (st *groupStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	for _, n := range freshNodes {
 		p := st.clocks[n].pending
 		order = append(order, &nodeAgg{
-			node: n, leader: p.ranks[0], sum: st.pend[n],
+			node: n, leader: p.ranks[0], sum: st.batches.pend[n],
 			ready:   p.finish,
 			workers: p.ranks,
 		})
@@ -111,6 +88,7 @@ func (st *groupStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		commT float64
 	}
 	threshold := cfg.GroupThreshold
+	st.aggs.reset()
 	results := make([]groupResult, 0, (len(order)+threshold-1)/threshold)
 	for lo := 0; lo < len(order); lo += threshold {
 		hi := lo + threshold
@@ -136,7 +114,7 @@ func (st *groupStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		} else {
 			// The aggregate is retained into results for phase 2, so it
 			// gets its own vector rather than crew scratch.
-			agg = new(sparse.Vector)
+			agg = st.aggs.next()
 			var err error
 			tr, err = groupAllreduce(env, leaders, commPSRSparse, inputs, agg)
 			if err != nil {
@@ -164,7 +142,8 @@ func (st *groupStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 			contributors += len(na.workers)
 		}
 		zSparse := zFromW(gr.agg, cfg.Lambda, cfg.Rho, contributors)
-		zDense := zSparse.ToDense()
+		st.zDense = zSparse.ToDenseInto(st.zDense)
+		zDense := st.zDense
 		for _, na := range gr.group {
 			bc := intraBcastTrace(na.workers, na.leader, zSparse.NNZ())
 			timing.bytes += traceBytes(bc)
@@ -184,7 +163,6 @@ func (st *groupStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	for _, n := range freshNodes {
 		st.clocks[n].pending = nil
 		st.clocks[n].staleness = 0
-		st.pend[n] = nil
 	}
 	bumpStale(st.clocks)
 	if applied > 0 {

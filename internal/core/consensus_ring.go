@@ -13,78 +13,33 @@ import (
 // sparsity, which is why its communication volume is flat in cluster size
 // and why PSRA's sparse exchange undercuts it).
 type ringStrategy struct {
-	env    *strategyEnv
-	clocks []sspClock // per node
-	// Dense-codec state: cached and in-flight per-node dense sums.
-	wCurD [][]float64
-	pendD [][]float64
-	// Sparse-codec state: cached and in-flight per-node sparse sums.
-	wCurS []*sparse.Vector
-	pendS []*sparse.Vector
+	env     *strategyEnv
+	clocks  []sspClock // per node
+	batches *nodeBatches
 	// lastRingEnd serializes consecutive rings through the Leaders' NICs.
 	lastRingEnd float64
-	// Reusable round scratch: barrier bookkeeping plus the ring's result
-	// sinks (aggS for the sparse exchange, bigWBuf for the dense one).
+	// Reusable round scratch: barrier bookkeeping, the ring's result sinks
+	// (aggS for the sparse exchange, bigWBuf for the dense one) and the
+	// dense z the workers copy from.
 	finishes []float64
 	fresh    []int
 	aggS     *sparse.Vector
 	bigWBuf  []float64
+	zDense   []float64
 }
 
 func newRingStrategy(env *strategyEnv, cfg Config) *ringStrategy {
-	nodes := cfg.Topo.Nodes
-	st := &ringStrategy{env: env, clocks: make([]sspClock, nodes)}
+	st := &ringStrategy{
+		env:     env,
+		clocks:  make([]sspClock, cfg.Topo.Nodes),
+		batches: newNodeBatches(env, cfg.Topo.Nodes),
+	}
 	if env.codec.DenseExchange() {
-		st.wCurD = make([][]float64, nodes)
-		st.pendD = make([][]float64, nodes)
-		for n := range st.wCurD {
-			st.wCurD[n] = make([]float64, env.dim)
-		}
 		st.bigWBuf = make([]float64, env.dim)
 	} else {
-		st.wCurS = make([]*sparse.Vector, nodes)
-		st.pendS = make([]*sparse.Vector, nodes)
-		for n := range st.wCurS {
-			st.wCurS[n] = sparse.NewVector(env.dim, 0)
-		}
 		st.aggS = new(sparse.Vector)
 	}
 	return st
-}
-
-// reconcile absorbs membership changes: dead members leave every
-// in-flight batch, whose partial sum is rebuilt from the survivors'
-// retained contributions (re-encoded for the dense exchange). Cached
-// stale contributions follow the bounded-staleness contract described on
-// treeStrategy.reconcile.
-func (st *ringStrategy) reconcile() {
-	env := st.env
-	dense := env.codec.DenseExchange()
-	for n := range st.clocks {
-		p := st.clocks[n].pending
-		if p == nil || !env.prunePending(p) {
-			continue
-		}
-		if len(p.ranks) == 0 {
-			st.clocks[n] = sspClock{}
-			if dense {
-				st.pendD[n] = nil
-			} else {
-				st.pendS[n] = nil
-			}
-			continue
-		}
-		if dense {
-			sum := make([]float64, env.dim)
-			for _, v := range p.vs {
-				v.AddIntoDense(sum, 1)
-			}
-			env.codec.EncodeDense(sum)
-			st.pendD[n] = sum
-		} else {
-			st.pendS[n] = sumSparse(env.dim, p.vs)
-		}
-	}
 }
 
 func (st *ringStrategy) Round(cfg Config, iter int) (iterTiming, error) {
@@ -95,34 +50,17 @@ func (st *ringStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	var timing iterTiming
 
 	if env.reconciles() {
-		st.reconcile()
+		st.batches.reconcile(env, st.clocks)
 	}
 	liveNodes, ranksOf := env.liveNodes(topo)
-
-	// Launch compute on every idle live node.
-	for _, n := range liveNodes {
-		if st.clocks[n].pending != nil {
-			continue
-		}
-		if dense {
-			st.pendD[n] = st.launchNodeDense(cfg, n, iter)
-		} else {
-			c := launchNodeSparse(env, cfg, n, iter)
-			st.pendS[n] = c.sum
-			st.clocks[n].pending = c.pending
-		}
-	}
+	st.batches.launch(env, cfg, iter, liveNodes, ranksOf, st.clocks)
 	chargeLaunchBytes(st.clocks, iter, &timing)
 
 	cutoff := sspCutoff(st.clocks, env.sync.Quorum(len(liveNodes), wpn), env.sync.Delay(), &st.finishes)
 	st.fresh = admitted(st.clocks, cutoff, st.fresh)
 	freshNodes := st.fresh
 	for _, n := range freshNodes {
-		if dense {
-			st.wCurD[n] = st.pendD[n]
-		} else {
-			st.wCurS[n] = st.pendS[n]
-		}
+		st.batches.admit(n)
 	}
 
 	// The ring runs among every live node's Leader (the node's first
@@ -133,9 +71,9 @@ func (st *ringStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	for _, n := range liveNodes {
 		leaders = append(leaders, ranksOf[n][0])
 		if dense {
-			inputsD = append(inputsD, st.wCurD[n])
+			inputsD = append(inputsD, st.batches.curD[n])
 		} else {
-			inputsS = append(inputsS, st.wCurS[n])
+			inputsS = append(inputsS, st.batches.cur[n])
 		}
 	}
 	ringStart := maxf(cutoff, st.lastRingEnd)
@@ -181,12 +119,16 @@ func (st *ringStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	var zSparse *sparse.Vector
 	if dense {
 		env.codec.EncodeDense(bigW)
-		zDense = make([]float64, env.dim)
+		if st.zDense == nil {
+			st.zDense = make([]float64, env.dim)
+		}
+		zDense = st.zDense
 		solverZUpdate(zDense, bigW, cfg.Lambda, cfg.Rho, contributors)
 		env.codec.EncodeDense(zDense)
 	} else {
 		zSparse = zFromW(agg, cfg.Lambda, cfg.Rho, contributors)
-		zDense = zSparse.ToDense()
+		st.zDense = zSparse.ToDenseInto(st.zDense)
+		zDense = st.zDense
 	}
 
 	calSum, commSum := 0.0, 0.0
@@ -207,11 +149,6 @@ func (st *ringStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		applyNodeZ(env, cfg, p, zDense, zSparse, end, &commSum, &applied)
 		st.clocks[n].pending = nil
 		st.clocks[n].staleness = 0
-		if dense {
-			st.pendD[n] = nil
-		} else {
-			st.pendS[n] = nil
-		}
 	}
 	bumpStale(st.clocks)
 	if applied > 0 {
@@ -219,44 +156,4 @@ func (st *ringStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		timing.comm = commSum / float64(applied)
 	}
 	return timing, nil
-}
-
-// launchNodeDense is the dense-codec counterpart of launchNodeSparse: the
-// node's w contributions are summed densely, rounded by the codec, and
-// fanned to the Leader as fixed-size dense messages over the bus.
-func (st *ringStrategy) launchNodeDense(cfg Config, n, iter int) []float64 {
-	env := st.env
-	topo := cfg.Topo
-	ranks := env.liveWorkersOf(topo, n)
-	sub := make([]*worker, len(ranks))
-	for i, r := range ranks {
-		sub[i] = env.ws[r]
-	}
-	// The pending batch retains cals past this round; copy out of the
-	// pool's scratch.
-	cals := append([]float64(nil), env.pool.run(cfg, sub, iter)...)
-	starts := make([]float64, len(ranks))
-	vs := make([]*sparse.Vector, len(ranks))
-	sum := make([]float64, env.dim)
-	ready := 0.0
-	for i, w := range sub {
-		starts[i] = w.clock
-		ready = maxf(ready, w.clock+cals[i])
-		// Retain the raw sparse contribution: reconcile re-sums and
-		// re-encodes from these when a member dies in flight.
-		vs[i] = w.wSparse(cfg.Rho)
-		vs[i].AddIntoDense(sum, 1)
-	}
-	env.codec.EncodeDense(sum)
-	tr := denseFanTrace(ranks, ranks[0], env.codec.DenseMsgBytes(env.dim), true)
-	st.clocks[n].pending = &pendingCompute{
-		finish:      ready + cfg.Cost.TraceTime(topo, tr),
-		ranks:       ranks,
-		starts:      starts,
-		cals:        cals,
-		vs:          vs,
-		launchIter:  iter,
-		launchBytes: traceBytes(tr),
-	}
-	return sum
 }

@@ -55,49 +55,22 @@ func (h *entryHeap) Push(x any)   { *h = append(*h, x.(*aggEntry)) }
 func (h *entryHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 type treeStrategy struct {
-	env    *strategyEnv
-	clocks []sspClock // per node
-	wCur   []*sparse.Vector
-	pend   []*sparse.Vector
-	// Reusable barrier scratch.
+	env     *strategyEnv
+	clocks  []sspClock // per node
+	batches *nodeBatches
+	// Reusable round scratch: barrier bookkeeping, merge results and the
+	// densified z the workers copy from.
 	finishes []float64
 	fresh    []int
+	aggs     roundVecs
+	zDense   []float64
 }
 
 func newTreeStrategy(env *strategyEnv, cfg Config) *treeStrategy {
-	nodes := cfg.Topo.Nodes
-	st := &treeStrategy{
-		env:    env,
-		clocks: make([]sspClock, nodes),
-		wCur:   make([]*sparse.Vector, nodes),
-		pend:   make([]*sparse.Vector, nodes),
-	}
-	for n := range st.wCur {
-		st.wCur[n] = sparse.NewVector(env.dim, 0)
-	}
-	return st
-}
-
-// reconcile absorbs membership changes since the last attempt: dead
-// members leave every in-flight batch and the node partial sums are
-// rebuilt from the survivors' retained contributions. A node with no
-// survivors drops out entirely. Cached stale contributions (wCur) are
-// left as-is — under SSP a dead worker's w can linger in a live node's
-// cached partial for at most MaxDelay rounds (bounded staleness); under
-// BSP every round is fresh and degraded consensus is exact.
-func (st *treeStrategy) reconcile() {
-	env := st.env
-	for n := range st.clocks {
-		p := st.clocks[n].pending
-		if p == nil || !env.prunePending(p) {
-			continue
-		}
-		if len(p.ranks) == 0 {
-			st.clocks[n] = sspClock{}
-			st.pend[n] = nil
-			continue
-		}
-		st.pend[n] = sumSparse(env.dim, p.vs)
+	return &treeStrategy{
+		env:     env,
+		clocks:  make([]sspClock, cfg.Topo.Nodes),
+		batches: newNodeBatches(env, cfg.Topo.Nodes),
 	}
 }
 
@@ -107,25 +80,17 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	var timing iterTiming
 
 	if env.reconciles() {
-		st.reconcile()
+		st.batches.reconcile(env, st.clocks)
 	}
 	liveNodes, ranksOf := env.liveNodes(topo)
-
-	for _, n := range liveNodes {
-		if st.clocks[n].pending != nil {
-			continue
-		}
-		c := launchNodeSparse(env, cfg, n, iter)
-		st.pend[n] = c.sum
-		st.clocks[n].pending = c.pending
-	}
+	st.batches.launch(env, cfg, iter, liveNodes, ranksOf, st.clocks)
 	chargeLaunchBytes(st.clocks, iter, &timing)
 
 	cutoff := sspCutoff(st.clocks, env.sync.Quorum(len(liveNodes), topo.WorkersPerNode), env.sync.Delay(), &st.finishes)
 	freshSet := make(map[int]bool, topo.Nodes)
 	st.fresh = admitted(st.clocks, cutoff, st.fresh)
 	for _, n := range st.fresh {
-		st.wCur[n] = st.pend[n]
+		st.batches.admit(n)
 		freshSet[n] = true
 	}
 
@@ -143,13 +108,15 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		pending = append(pending, &aggEntry{
 			seq:      seq,
 			rep:      ranksOf[n][0],
-			value:    st.wCur[n],
+			value:    st.batches.cur[n],
 			ready:    ready,
 			leafNode: n,
 		})
 		seq++
 	}
 	heap.Init(&pending)
+
+	st.aggs.reset()
 
 	// Grouping threshold: a group of one cannot aggregate, so the
 	// effective tree fan-in is at least 2 (unless there is only one node).
@@ -181,7 +148,7 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		timing.bytes += int64(len(group) * ggRequestBytes * 2)
 		// The aggregate travels up the tree as a later merge's input, so
 		// each merge gets its own result vector rather than crew scratch.
-		agg := new(sparse.Vector)
+		agg := st.aggs.next()
 		tr, err := groupAllreduce(env, leaders, commPSRSparse, inputs, agg)
 		if err != nil {
 			return nil, err
@@ -244,7 +211,8 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 	// consensus); workers retain whatever storage their placement gives
 	// them when the delivery lands (store.applyZ via applyNodeZ).
 	zSparse := env.store.zFromW(root.value, cfg, env.members.LiveCount())
-	zDense := zSparse.ToDense()
+	st.zDense = zSparse.ToDenseInto(st.zDense)
+	zDense := st.zDense
 	wBytes := env.codec.ZMsgBytes(zSparse.NNZ())
 	calSum, commSum := 0.0, 0.0
 	applied := 0
@@ -300,7 +268,6 @@ func (st *treeStrategy) Round(cfg Config, iter int) (iterTiming, error) {
 		if freshSet[n] {
 			st.clocks[n].pending = nil
 			st.clocks[n].staleness = 0
-			st.pend[n] = nil
 		}
 	}
 	bumpStale(st.clocks)

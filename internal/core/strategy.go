@@ -10,6 +10,7 @@ import (
 	"psrahgadmm/internal/simnet"
 	"psrahgadmm/internal/sparse"
 	"psrahgadmm/internal/transport"
+	"psrahgadmm/internal/vec"
 	"psrahgadmm/internal/watchdog"
 )
 
@@ -269,54 +270,205 @@ func newStrategy(kind ConsensusKind, env *strategyEnv, cfg Config) (ConsensusStr
 	return nil, fmt.Errorf("core: unknown consensus strategy %q", kind)
 }
 
-// nodeContribution is the result of launching one node's compute: the
-// Leader-held partial sum plus the barrier bookkeeping.
-type nodeContribution struct {
-	sum     *sparse.Vector
-	pending *pendingCompute
+// nodeBatches is the launch side of the hierarchical strategies (tree,
+// group-local and ring). Every idle live node's workers solve in ONE
+// compute-pool batch — the paper's Algorithm 1, where all workers compute
+// before any Leader aggregates — and then, node by node in node order,
+// each worker's w is built and encoded and the node's Leader-held partial
+// sum is reduced. An x-update touches only its own worker's state, so
+// batching the solves across nodes leaves every encode, every sum and
+// every history bit-identical to launching one node at a time.
+//
+// It also owns the per-node partial sums and every buffer a launch
+// writes, so a steady-state round reuses them instead of allocating:
+//   - w[r] holds rank r's encoded contribution. It is rewritten only when
+//     r's node launches again, which happens only once the node's previous
+//     batch (whose pendingCompute.vs holds w[r]) was admitted or dropped.
+//   - pend[n] is node n's in-flight partial sum and cur[n] the last
+//     admitted one, which a stale node keeps serving under SSP. Each node
+//     has two sum buffers; a launch writes the one cur[n] does not hold.
+//   - slots[n] backs node n's pendingCompute.
+//
+// The dense exchange (the ring under the ADMMLib codec) keeps its sums in
+// pendD/curD, with the same two-buffer discipline.
+type nodeBatches struct {
+	dense       bool
+	pend, cur   []*sparse.Vector
+	pendD, curD [][]float64
+	bufs        [][2]*sparse.Vector
+	bufsD       [][2][]float64
+	w           []*sparse.Vector
+	slots       []pendingCompute
+	acc         *sparse.Accumulator
+	// Per-launch scratch.
+	sub  []*worker
+	nnzs []int
 }
 
-// launchNodeSparse runs the x-update on one idle node's workers, encodes
-// each worker's w through the codec, reduces to the node Leader over the
-// bus, and returns the partial sum with its availability time. Workers'
-// clocks are NOT advanced here — they move to the round's end when the
-// consensus is applied — so the launch is identical under BSP and SSP.
-// The fan-in's wire bytes ride on the pending batch (see pendingCompute)
-// and are charged by chargeLaunchBytes in the consuming round.
-func launchNodeSparse(env *strategyEnv, cfg Config, n, iter int) nodeContribution {
-	topo := cfg.Topo
-	ranks := env.liveWorkersOf(topo, n)
-	sub := make([]*worker, len(ranks))
-	for i, r := range ranks {
-		sub[i] = env.ws[r]
+func newNodeBatches(env *strategyEnv, nodes int) *nodeBatches {
+	b := &nodeBatches{
+		dense: env.codec.DenseExchange(),
+		w:     make([]*sparse.Vector, len(env.ws)),
+		slots: make([]pendingCompute, nodes),
 	}
-	// The pool's times slice is per-round scratch; the pending batch
-	// outlives the round, so it keeps its own copy.
-	cals := append([]float64(nil), env.pool.run(cfg, sub, iter)...)
-	starts := make([]float64, len(ranks))
-	vs := make([]*sparse.Vector, len(ranks))
-	nnzs := make([]int, len(ranks))
-	ready := 0.0
-	for i, w := range sub {
-		starts[i] = w.clock
-		vs[i] = w.wSparse(cfg.Rho)
-		env.encodeSparse(ranks[i], vs[i])
-		nnzs[i] = vs[i].NNZ()
-		ready = maxf(ready, w.clock+cals[i])
+	for r := range b.w {
+		b.w[r] = new(sparse.Vector)
 	}
-	tr := env.codec.WireTrace(intraReduceTrace(ranks, ranks[0], nnzs))
-	return nodeContribution{
-		sum: sumSparse(env.dim, vs),
-		pending: &pendingCompute{
-			finish:      ready + cfg.Cost.TraceTime(topo, tr),
-			ranks:       ranks,
-			starts:      starts,
-			cals:        cals,
-			vs:          vs,
-			launchIter:  iter,
-			launchBytes: traceBytes(tr),
-		},
+	if b.dense {
+		b.pendD = make([][]float64, nodes)
+		b.curD = make([][]float64, nodes)
+		b.bufsD = make([][2][]float64, nodes)
+		for n := range b.bufsD {
+			b.bufsD[n] = [2][]float64{make([]float64, env.dim), make([]float64, env.dim)}
+			b.curD[n] = b.bufsD[n][1]
+		}
+		return b
 	}
+	b.pend = make([]*sparse.Vector, nodes)
+	b.cur = make([]*sparse.Vector, nodes)
+	b.bufs = make([][2]*sparse.Vector, nodes)
+	for n := range b.bufs {
+		b.bufs[n] = [2]*sparse.Vector{sparse.NewVector(env.dim, 0), sparse.NewVector(env.dim, 0)}
+		b.cur[n] = b.bufs[n][1]
+	}
+	b.acc = sparse.NewAccumulator(env.dim)
+	return b
+}
+
+// launch starts a batch on every idle live node (ranksOf[n] lists node
+// n's live ranks) and records it in clocks[n].pending. Workers' clocks are
+// NOT advanced here — they move to the round's end when the consensus is
+// applied — so the launch is identical under BSP and SSP. The fan-in's
+// wire bytes ride on the batch (see pendingCompute) and are charged by
+// chargeLaunchBytes in the consuming round.
+func (b *nodeBatches) launch(env *strategyEnv, cfg Config, iter int, liveNodes []int, ranksOf [][]int, clocks []sspClock) {
+	sub := b.sub[:0]
+	for _, n := range liveNodes {
+		if clocks[n].pending == nil {
+			for _, r := range ranksOf[n] {
+				sub = append(sub, env.ws[r])
+			}
+		}
+	}
+	b.sub = sub
+	cals := env.pool.run(cfg, sub, iter)
+	for _, n := range liveNodes {
+		if clocks[n].pending != nil {
+			continue
+		}
+		ranks := ranksOf[n]
+		// The pool's times are per-run scratch; the batch outlives the
+		// round, so it keeps its own copy.
+		p := &b.slots[n]
+		*p = pendingCompute{
+			ranks:      append(p.ranks[:0], ranks...),
+			starts:     p.starts[:0],
+			cals:       append(p.cals[:0], cals[:len(ranks)]...),
+			vs:         p.vs[:0],
+			launchIter: iter,
+		}
+		cals = cals[len(ranks):]
+		nnzs := b.nnzs[:0]
+		ready := 0.0
+		for i, r := range ranks {
+			w := env.ws[r]
+			v := w.wSparseInto(b.w[r], cfg.Rho)
+			if !b.dense {
+				env.encodeSparse(r, v)
+			}
+			p.starts = append(p.starts, w.clock)
+			p.vs = append(p.vs, v)
+			nnzs = append(nnzs, v.NNZ())
+			ready = maxf(ready, w.clock+p.cals[i])
+		}
+		b.nnzs = nnzs
+		b.reduce(env, n, p.vs)
+		var tr collective.Trace
+		if b.dense {
+			tr = denseFanTrace(ranks, ranks[0], env.codec.DenseMsgBytes(env.dim), true)
+		} else {
+			tr = env.codec.WireTrace(intraReduceTrace(ranks, ranks[0], nnzs))
+		}
+		p.finish = ready + cfg.Cost.TraceTime(cfg.Topo, tr)
+		p.launchBytes = traceBytes(tr)
+		clocks[n].pending = p
+	}
+}
+
+// reduce sums node n's encoded contributions, in member order, into the
+// node's in-flight partial: sparse, or densely summed and rounded by the
+// codec for the dense exchange.
+func (b *nodeBatches) reduce(env *strategyEnv, n int, vs []*sparse.Vector) {
+	if b.dense {
+		dst := b.bufsD[n][0]
+		if &dst[0] == &b.curD[n][0] {
+			dst = b.bufsD[n][1]
+		}
+		vec.Zero(dst)
+		for _, v := range vs {
+			v.AddIntoDense(dst, 1)
+		}
+		env.codec.EncodeDense(dst)
+		b.pendD[n] = dst
+		return
+	}
+	dst := b.bufs[n][0]
+	if dst == b.cur[n] {
+		dst = b.bufs[n][1]
+	}
+	for _, v := range vs {
+		b.acc.Add(v)
+	}
+	b.pend[n] = b.acc.SumInto(dst)
+}
+
+// admit makes node n's in-flight partial its cached one, the sum the node
+// serves while stale in later rounds.
+func (b *nodeBatches) admit(n int) {
+	if b.dense {
+		b.curD[n] = b.pendD[n]
+	} else {
+		b.cur[n] = b.pend[n]
+	}
+}
+
+// reconcile absorbs membership changes since the last attempt: dead
+// members leave every in-flight batch and the node partial sums are
+// rebuilt from the survivors' retained contributions. A node with no
+// survivors drops out entirely. Cached partials (cur) are left as-is —
+// under SSP a dead worker's w can linger in a live node's cached partial
+// for at most MaxDelay rounds (bounded staleness); under BSP every round
+// is fresh and degraded consensus is exact.
+func (b *nodeBatches) reconcile(env *strategyEnv, clocks []sspClock) {
+	for n := range clocks {
+		p := clocks[n].pending
+		if p == nil || !env.prunePending(p) {
+			continue
+		}
+		if len(p.ranks) == 0 {
+			clocks[n] = sspClock{}
+			continue
+		}
+		b.reduce(env, n, p.vs)
+	}
+}
+
+// roundVecs hands out strategy-owned sparse vectors that live for one
+// round (merge results, group aggregates), recycled from the next.
+type roundVecs struct {
+	vs   []*sparse.Vector
+	used int
+}
+
+func (r *roundVecs) reset() { r.used = 0 }
+
+func (r *roundVecs) next() *sparse.Vector {
+	if r.used == len(r.vs) {
+		r.vs = append(r.vs, new(sparse.Vector))
+	}
+	v := r.vs[r.used]
+	r.used++
+	return v
 }
 
 // chargeLaunchBytes charges the launch fan-in of every batch launched

@@ -97,7 +97,7 @@ func newWorkers(cfg Config, train *dataset.Dataset) []*worker {
 	ws := make([]*worker, n)
 	for i := range ws {
 		w := &worker{rank: i, dim: dim, shard: shards[i]}
-		w.buildActive(dim)
+		w.buildActive()
 		w.obj = solver.NewLogisticProx(w.compact, w.shard.Labels, cfg.Rho, w.yA, w.zA)
 		ws[i] = w
 	}
@@ -170,31 +170,8 @@ func (w *worker) residentBytes() int64 {
 }
 
 // buildActive computes the shard's active column set and the remapped CSR.
-func (w *worker) buildActive(dim int) {
-	seen := make(map[int32]struct{})
-	for _, c := range w.shard.X.ColIdx {
-		seen[c] = struct{}{}
-	}
-	w.active = make([]int32, 0, len(seen))
-	for c := range seen {
-		w.active = append(w.active, c)
-	}
-	sort.Slice(w.active, func(a, b int) bool { return w.active[a] < w.active[b] })
-	remap := make(map[int32]int32, len(w.active))
-	for i, c := range w.active {
-		remap[c] = int32(i)
-	}
-	src := w.shard.X
-	w.compact = &sparse.CSR{
-		NRows:  src.NRows,
-		NCols:  len(w.active),
-		RowPtr: src.RowPtr,
-		ColIdx: make([]int32, len(src.ColIdx)),
-		Val:    src.Val,
-	}
-	for k, c := range src.ColIdx {
-		w.compact.ColIdx[k] = remap[c]
-	}
+func (w *worker) buildActive() {
+	w.compact, w.active = w.shard.X.CompactColumns()
 	w.xA = make([]float64, len(w.active))
 	w.yA = make([]float64, len(w.active))
 	w.zA = make([]float64, len(w.active))

@@ -58,7 +58,7 @@ type LogisticProx struct {
 
 	margins []float64 // Ax cache from last Eval
 	d       []float64 // σ(1−σ) curvature cache
-	av      []float64 // scratch for HessVec
+	av      []float64 // gradient-coefficient scratch for Eval
 }
 
 // NewLogisticProx constructs the subproblem objective. Labels must match
@@ -97,7 +97,7 @@ func (o *LogisticProx) Eval(x, g []float64) float64 {
 		loss += LogLoss(bm)
 		s := Sigmoid(-bm)
 		o.d[j] = s * (1 - s)
-		o.av[j] = -o.Labels[j] * s // reuse av as c scratch
+		o.av[j] = -o.Labels[j] * s
 	}
 	m.MulTransVec(g, o.av)
 	for i := range g {
@@ -110,12 +110,7 @@ func (o *LogisticProx) Eval(x, g []float64) float64 {
 
 // HessVec implements Objective: hv = Aᵀ·D·A·v + ρ·v with D from last Eval.
 func (o *LogisticProx) HessVec(v, hv []float64) {
-	m := o.Data
-	m.MulVec(o.av, v)
-	for j := range o.av {
-		o.av[j] *= o.d[j]
-	}
-	m.MulTransVec(hv, o.av)
+	o.Data.MulATDAVec(hv, v, o.d)
 	vec.Axpy(o.Rho, v, hv)
 }
 
@@ -143,7 +138,6 @@ type LeastSquaresProx struct {
 	Y, Z []float64
 
 	resid []float64
-	av    []float64
 }
 
 // NewLeastSquaresProx constructs the lasso subproblem objective.
@@ -161,7 +155,6 @@ func NewLeastSquaresProx(data *sparse.CSR, b []float64, rho float64, y, z []floa
 		Y:     y,
 		Z:     z,
 		resid: make([]float64, data.NRows),
-		av:    make([]float64, data.NRows),
 	}
 }
 
@@ -188,9 +181,7 @@ func (o *LeastSquaresProx) Eval(x, g []float64) float64 {
 
 // HessVec implements Objective: hv = AᵀAv + ρv.
 func (o *LeastSquaresProx) HessVec(v, hv []float64) {
-	m := o.Data
-	m.MulVec(o.av, v)
-	m.MulTransVec(hv, o.av)
+	o.Data.MulATDAVec(hv, v, nil)
 	vec.Axpy(o.Rho, v, hv)
 }
 

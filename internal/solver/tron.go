@@ -131,10 +131,20 @@ func TRONWorkspace(obj Objective, x []float64, opts TronOptions, ws *Workspace) 
 		sigma3 = 4.0
 	)
 
+	// stale marks the objective's curvature cache as describing a
+	// rejected trial point rather than x (Eval caches curvature at the
+	// point it was given); it is restored lazily, so a solve that stops
+	// right after a rejection does not pay for the extra evaluation.
+	stale := false
 	for res.Iters = 0; res.Iters < opts.MaxIter; res.Iters++ {
 		if converged() {
 			res.Converged = true
 			break
+		}
+		if stale {
+			obj.Eval(x, gNew)
+			res.FunEvals++
+			stale = false
 		}
 
 		// Steihaug CG: solve H s ≈ −g within the trust region.
@@ -178,6 +188,8 @@ func TRONWorkspace(obj Objective, x []float64, opts TronOptions, ws *Workspace) 
 			copy(g, gNew)
 			f = fNew
 			gnorm = vec.Nrm2(g)
+		} else {
+			stale = true
 		}
 		if delta <= 1e-12*gnorm0 || math.IsNaN(f) {
 			break
@@ -217,7 +229,7 @@ func steihaugCG(obj Objective, g, s, r, d, hd []float64, delta float64, opts Tro
 		alpha := rsq / dhd
 		// Tentative step.
 		vec.Axpy(alpha, d, s)
-		if vec.Nrm2(s) >= delta {
+		if beyondRadius(s, delta) {
 			// Retract and project onto the boundary.
 			vec.Axpy(-alpha, d, s)
 			tau := boundaryTau(s, d, delta)
@@ -234,6 +246,33 @@ func steihaugCG(obj Objective, g, s, r, d, hd []float64, delta float64, opts Tro
 	}
 	return opts.MaxCG, false
 }
+
+// beyondRadius reports vec.Nrm2(s) >= delta, the Steihaug boundary test,
+// without paying for Nrm2's overflow-safe scaling (a division per element)
+// when the answer is clear: the plain squared norm is compared against
+// delta² and trusted outside a relative band wider than either side's
+// rounding error. Inside the band, or when either square is zero,
+// subnormal, infinite or NaN, the exact test decides, so every branch
+// TRON takes is the one the scaled norm would take.
+func beyondRadius(s []float64, delta float64) bool {
+	ss := vec.Nrm2Sq(s)
+	dd := delta * delta
+	// Either norm's sum of n squares is off by at most ~n·ε relatively;
+	// the band is that bound with a wide margin.
+	band := 1e-8 + 8*float64(len(s))*0x1p-52
+	if ss >= minNormal && ss <= math.MaxFloat64 && dd >= minNormal && dd <= math.MaxFloat64 {
+		if ss > dd*(1+band) {
+			return true
+		}
+		if ss < dd*(1-band) {
+			return false
+		}
+	}
+	return vec.Nrm2(s) >= delta
+}
+
+// minNormal is the smallest positive normal float64.
+const minNormal = 0x1p-1022
 
 // boundaryTau returns τ ≥ 0 with ‖s + τ·d‖ = delta.
 func boundaryTau(s, d []float64, delta float64) float64 {

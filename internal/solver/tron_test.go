@@ -347,3 +347,118 @@ func BenchmarkTRONLogistic(b *testing.B) {
 		TRON(obj, x, TronOptions{})
 	}
 }
+
+// curvatureProbe wraps a LogisticProx and checks every Hessian-vector
+// product TRON asks for against a fresh objective evaluated at TRON's
+// current iterate x, bit for bit. It also counts rejected steps: a trial
+// point that was evaluated but that x never moved to.
+type curvatureProbe struct {
+	*LogisticProx
+	ref        *LogisticProx
+	x          []float64 // TRON's iterate (updated in place on acceptance)
+	trial      []float64 // last evaluated point other than x, until the next HessVec
+	rejections int
+	mismatches int
+	g, want    []float64
+}
+
+func (p *curvatureProbe) Eval(x, g []float64) float64 {
+	if &x[0] != &p.x[0] {
+		p.trial = append(p.trial[:0], x...)
+	}
+	return p.LogisticProx.Eval(x, g)
+}
+
+func (p *curvatureProbe) HessVec(v, hv []float64) {
+	if p.trial != nil {
+		if !vec.Equal(p.trial, p.x) {
+			p.rejections++
+		}
+		p.trial = nil
+	}
+	p.LogisticProx.HessVec(v, hv)
+	p.ref.Eval(p.x, p.g)
+	p.ref.HessVec(v, p.want)
+	for i := range hv {
+		if math.Float64bits(hv[i]) != math.Float64bits(p.want[i]) {
+			p.mismatches++
+			return
+		}
+	}
+}
+
+// TestTRONCurvatureAfterRejectedStep pins TRON's curvature bookkeeping:
+// Eval at a trial point refreshes the objective's curvature cache, so
+// after a rejected step the cache must be restored to x before the next
+// CG solve — otherwise that solve uses the Hessian of a point TRON
+// refused.
+func TestTRONCurvatureAfterRejectedStep(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	data, labels := smallLogistic(r, 40, 8)
+	y := make([]float64, 8)
+	z := make([]float64, 8)
+	// Start deep in the saturated region: near-zero curvature and a large
+	// gradient send the first steps to a trust boundary far past the
+	// minimizer, where the model's predicted decrease does not materialize.
+	x := make([]float64, 8)
+	for i := range x {
+		x[i] = 40 * r.NormFloat64()
+	}
+	p := &curvatureProbe{
+		LogisticProx: NewLogisticProx(data, labels, 1e-3, y, z),
+		ref:          NewLogisticProx(data, labels, 1e-3, y, z),
+		x:            x,
+		g:            make([]float64, 8),
+		want:         make([]float64, 8),
+	}
+	res := TRON(p, x, TronOptions{GradTol: 1e-8, MaxIter: 200})
+	if p.rejections == 0 {
+		t.Fatalf("no step was rejected (%+v); the test data no longer exercises the path", res)
+	}
+	if p.mismatches != 0 {
+		t.Fatalf("%d Hessian-vector products used curvature from a point other than x (%d rejections)", p.mismatches, p.rejections)
+	}
+	t.Logf("%d rejections, %+v", p.rejections, res)
+}
+
+// TestBeyondRadiusMatchesScaledNorm pins the Steihaug boundary test's
+// fast path to the overflow-safe norm it replaces: beyondRadius(s, δ)
+// must equal vec.Nrm2(s) >= δ on radii just inside, on and just outside
+// ‖s‖ (within and beyond the rounding band), and on zero, huge, infinite,
+// NaN and subnormal inputs.
+func TestBeyondRadiusMatchesScaledNorm(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	var cases [][]float64
+	for _, scale := range []float64{1, 1e-3, 1e150, 1e-150, 1e-160, 1e300, 1e-310, 5e-324} {
+		s := make([]float64, 1+r.Intn(200))
+		for i := range s {
+			s[i] = scale * r.NormFloat64()
+		}
+		cases = append(cases, s)
+	}
+	cases = append(cases,
+		[]float64{0, 0, 0},
+		[]float64{math.Inf(1), 1},
+		[]float64{math.NaN(), 2},
+		[]float64{3, 4},
+		[]float64{math.MaxFloat64, math.MaxFloat64},
+	)
+	check := func(s []float64, delta float64) {
+		t.Helper()
+		if got, want := beyondRadius(s, delta), vec.Nrm2(s) >= delta; got != want {
+			t.Fatalf("beyondRadius(len %d, δ=%v) = %v, Nrm2 %v >= δ is %v", len(s), delta, got, vec.Nrm2(s), want)
+		}
+	}
+	for _, s := range cases {
+		n := vec.Nrm2(s)
+		for _, f := range []float64{0, 1, 1 - 1e-16, 1 + 1e-16, 1 - 1e-12, 1 + 1e-12, 1 - 1e-9, 1 + 1e-9,
+			1 - 1e-8, 1 + 1e-8, 1 - 1e-7, 1 + 1e-7, 0.5, 2, 1e-200, 1e200} {
+			check(s, n*f)
+		}
+		check(s, math.Nextafter(n, 0))
+		check(s, math.Nextafter(n, math.Inf(1)))
+		for _, delta := range []float64{0, 5e-324, 1e-310, 1e-160, 1, 1e160, math.MaxFloat64, math.Inf(1), math.NaN()} {
+			check(s, delta)
+		}
+	}
+}

@@ -99,9 +99,11 @@ func (m *CSR) RowNNZ(r int) int { return int(m.RowPtr[r+1] - m.RowPtr[r]) }
 
 // RowDot returns <row r, x> for dense x of length NCols.
 func (m *CSR) RowDot(r int, x []float64) float64 {
+	cols, vals := m.Row(r)
+	vals = vals[:len(cols)]
 	var s float64
-	for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-		s += m.Val[k] * x[m.ColIdx[k]]
+	for k, c := range cols {
+		s += vals[k] * x[c]
 	}
 	return s
 }
@@ -112,9 +114,11 @@ func (m *CSR) MulVec(dst, x []float64) {
 		panic("sparse: MulVec dimension mismatch")
 	}
 	for r := 0; r < m.NRows; r++ {
+		cols, vals := m.Row(r)
+		vals = vals[:len(cols)]
 		var s float64
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			s += m.Val[k] * x[m.ColIdx[k]]
+		for k, c := range cols {
+			s += vals[k] * x[c]
 		}
 		dst[r] = s
 	}
@@ -134,10 +138,77 @@ func (m *CSR) MulTransVec(dst, y []float64) {
 		if yr == 0 {
 			continue
 		}
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			dst[m.ColIdx[k]] += m.Val[k] * yr
+		cols, vals := m.Row(r)
+		vals = vals[:len(cols)]
+		for k, c := range cols {
+			dst[c] += vals[k] * yr
 		}
 	}
+}
+
+// MulATDAVec computes dst = Aᵀ·diag(d)·A·x in one pass over the rows,
+// where x and dst have length NCols and d, when non-nil, length NRows; a
+// nil d is the identity. It is bit-identical to MulVec, an elementwise
+// scale by d, then MulTransVec: each row's dot product accumulates in the
+// same order, is scaled by d[r], is skipped when the product is exactly
+// zero, and is scattered in row order. Fusing the passes drops the
+// row-length intermediate the three-call form writes and re-reads.
+//
+// Like MulVec and MulTransVec, the loops run over the row's own column and
+// value slices: indexing through m inside the loop makes the compiler
+// reload the slice headers after every store to dst and bounds-check
+// every access.
+func (m *CSR) MulATDAVec(dst, x, d []float64) {
+	if len(x) != m.NCols || len(dst) != m.NCols || (d != nil && len(d) != m.NRows) {
+		panic("sparse: MulATDAVec dimension mismatch")
+	}
+	for i := range dst {
+		dst[i] = 0
+	}
+	for r := 0; r < m.NRows; r++ {
+		cols, vals := m.Row(r)
+		vals = vals[:len(cols)]
+		var s float64
+		for k, c := range cols {
+			s += vals[k] * x[c]
+		}
+		if d != nil {
+			s *= d[r]
+		}
+		if s == 0 {
+			continue
+		}
+		for k, c := range cols {
+			dst[c] += vals[k] * s
+		}
+	}
+}
+
+// CompactColumns restricts m to the columns it touches: it returns those
+// columns' original ids in increasing order and a matrix whose column k is
+// original column active[k]. The result shares RowPtr and Val with m.
+func (m *CSR) CompactColumns() (c *CSR, active []int32) {
+	remap := make([]int32, m.NCols)
+	for _, col := range m.ColIdx {
+		remap[col] = 1
+	}
+	for col, used := range remap {
+		if used != 0 {
+			remap[col] = int32(len(active))
+			active = append(active, int32(col))
+		}
+	}
+	c = &CSR{
+		NRows:  m.NRows,
+		NCols:  len(active),
+		RowPtr: m.RowPtr,
+		ColIdx: make([]int32, len(m.ColIdx)),
+		Val:    m.Val,
+	}
+	for k, col := range m.ColIdx {
+		c.ColIdx[k] = remap[col]
+	}
+	return c, active
 }
 
 // AddScaledRow accumulates alpha * row r into dense dst (length NCols).

@@ -1,7 +1,9 @@
 package sparse
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"psrahgadmm/internal/vec"
@@ -228,5 +230,94 @@ func BenchmarkMulTransVec(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.MulTransVec(dst, y)
+	}
+}
+
+// TestMulATDAVecBitwise pins the fused kernel to the three-pass form it
+// replaces in the solvers' Hessian-vector products — MulVec, a per-row
+// scale by d, then MulTransVec — bit for bit, on matrices with empty rows
+// and curvature vectors with exact zeros (rows the scatter skips), and
+// with a nil d (the identity, least squares' Gram product).
+func TestMulATDAVecBitwise(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 40; trial++ {
+		rows, cols := 1+r.Intn(60), 1+r.Intn(80)
+		m := randCSR(r, rows, cols, 0.1*r.Float64())
+		x := make([]float64, cols)
+		for i := range x {
+			if r.Intn(4) > 0 {
+				x[i] = r.NormFloat64() * 1e3
+			}
+		}
+		d := make([]float64, rows)
+		for i := range d {
+			if r.Intn(3) > 0 {
+				d[i] = r.Float64() * 0.25
+			}
+		}
+		for _, dd := range [][]float64{d, nil} {
+			av := make([]float64, rows)
+			m.MulVec(av, x)
+			if dd != nil {
+				for j := range av {
+					av[j] *= dd[j]
+				}
+			}
+			want := make([]float64, cols)
+			m.MulTransVec(want, av)
+			got := make([]float64, cols)
+			for i := range got {
+				got[i] = float64(i) // stale contents must be overwritten
+			}
+			m.MulATDAVec(got, x, dd)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d (nil d %v): dst[%d] = %v, three-pass %v", trial, dd == nil, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkMulATDAVec(b *testing.B) {
+	r := rand.New(rand.NewSource(27))
+	m := randCSR(r, 500, 2000, 0.02)
+	x := make([]float64, 2000)
+	d := make([]float64, 500)
+	for i := range x {
+		x[i] = r.NormFloat64()
+	}
+	for i := range d {
+		d[i] = r.Float64() * 0.25
+	}
+	dst := make([]float64, 2000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.MulATDAVec(dst, x, d)
+	}
+}
+
+func TestCompactColumns(t *testing.T) {
+	m := NewCSR(0, 10, 0)
+	m.AppendRow([]int32{2, 7}, []float64{1, 2})
+	m.AppendRow(nil, nil)
+	m.AppendRow([]int32{0, 7, 9}, []float64{3, 4, 5})
+	c, active := m.CompactColumns()
+	if want := []int32{0, 2, 7, 9}; !slices.Equal(active, want) {
+		t.Fatalf("active = %v, want %v", active, want)
+	}
+	if err := c.Check(); err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{1, 2, 3, 4}
+	full := make([]float64, m.NCols)
+	for k, col := range active {
+		full[col] = x[k]
+	}
+	got, want := make([]float64, m.NRows), make([]float64, m.NRows)
+	c.MulVec(got, x)
+	m.MulVec(want, full)
+	if !slices.Equal(got, want) {
+		t.Fatalf("compact A·x = %v, full %v", got, want)
 	}
 }

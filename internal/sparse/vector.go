@@ -293,22 +293,43 @@ func (a *Accumulator) Sum() *Vector {
 // small) so steady-state reduce fan-ins extract their total without
 // allocating. dst is reset to the accumulator's dimension first.
 func (a *Accumulator) SumInto(dst *Vector) *Vector {
-	slices.Sort(a.touched)
 	if dst == nil {
 		dst = NewVector(a.dim, len(a.touched))
 	} else {
 		dst.Reset(a.dim)
 	}
-	for _, i := range a.touched {
-		if v := a.dense[i]; v != 0 {
-			dst.Index = append(dst.Index, i)
-			dst.Value = append(dst.Value, v)
+	if len(a.touched)*scanRatio < a.dim {
+		slices.Sort(a.touched)
+		for _, i := range a.touched {
+			a.take(dst, i)
 		}
-		a.dense[i] = 0
-		a.seen[i] = false
+	} else {
+		// A dense support: one in-order pass over the seen flags is far
+		// cheaper than sorting the touched list, and it visits the same
+		// indices in the same order.
+		for i, seen := range a.seen {
+			if seen {
+				a.take(dst, int32(i))
+			}
+		}
 	}
 	a.touched = a.touched[:0]
 	return dst
+}
+
+// scanRatio is the support density (1 in scanRatio of the dimension)
+// above which SumInto scans instead of sorting.
+const scanRatio = 32
+
+// take moves the accumulated entry i into dst (dropping an exact-zero
+// sum) and clears it.
+func (a *Accumulator) take(dst *Vector, i int32) {
+	if v := a.dense[i]; v != 0 {
+		dst.Index = append(dst.Index, i)
+		dst.Value = append(dst.Value, v)
+	}
+	a.dense[i] = 0
+	a.seen[i] = false
 }
 
 // Reset empties the accumulator and re-dimensions it, growing the dense

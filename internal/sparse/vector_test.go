@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -279,5 +280,40 @@ func BenchmarkAccumulator(b *testing.B) {
 			acc.Add(v)
 		}
 		_ = acc.Sum()
+	}
+}
+
+// TestAccumulatorSumIntoBothSupports checks SumInto against a dense
+// reference on sparse supports (the sorted-touched path) and dense ones
+// (the in-order scan path), reusing one accumulator and destination
+// across regimes.
+func TestAccumulatorSumIntoBothSupports(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	const dim = 4096
+	acc := NewAccumulator(dim)
+	out := new(Vector)
+	for trial := 0; trial < 30; trial++ {
+		density := []float64{0.001, 0.01, 0.05, 0.3, 0.9}[trial%5]
+		want := make([]float64, dim)
+		for k := 0; k < 1+r.Intn(6); k++ {
+			v := NewVector(dim, 0)
+			for i := 0; i < dim; i++ {
+				if r.Float64() < density {
+					x := r.NormFloat64()
+					if r.Intn(8) == 0 {
+						x = -want[i] // exact cancellation must drop the entry
+					}
+					v.Index = append(v.Index, int32(i))
+					v.Value = append(v.Value, x)
+				}
+			}
+			acc.Add(v)
+			v.AddIntoDense(want, 1)
+		}
+		out = acc.SumInto(out)
+		ref := FromDense(want)
+		if !slices.Equal(out.Index, ref.Index) || !slices.Equal(out.Value, ref.Value) {
+			t.Fatalf("trial %d (density %v): SumInto differs from the dense reference", trial, density)
+		}
 	}
 }
